@@ -49,7 +49,6 @@ import (
 	"coradd/internal/obs"
 	"coradd/internal/query"
 	"coradd/internal/stats"
-	"coradd/internal/storage"
 	"coradd/internal/workload"
 )
 
@@ -967,26 +966,6 @@ func dedicatedMV(st *stats.Stats, q *query.Query) *costmodel.MVDesign {
 		key = cols[:1]
 	}
 	return &costmodel.MVDesign{Name: "lb(" + q.Name + ")", Cols: cols, ClusterKey: key}
-}
-
-// MeasureTemplate prices one query on a deployed design through the real
-// simulated substrate: the design is rerouted for the single-query
-// workload and measured through an evaluator sharing the given cache —
-// the one measurement procedure the controller (and the adapt ablation's
-// static baselines) charge stream events with, so every run prices a
-// (state, template) pair identically.
-func MeasureTemplate(st *stats.Stats, disk storage.DiskParams, cache *designer.ObjectCache,
-	model costmodel.Model, d *designer.Design, q *query.Query) (float64, error) {
-
-	w1 := query.Workload{q}
-	rd := designer.Reroute(d, model, w1)
-	ev := designer.NewEvaluator(st.Rel, w1, disk)
-	ev.Cache = cache
-	res, err := ev.Measure(rd)
-	if err != nil {
-		return 0, err
-	}
-	return res.PerQuery[0], nil
 }
 
 // sameObjects reports whether two designs deploy the same object set.

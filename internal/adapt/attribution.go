@@ -17,14 +17,16 @@ import (
 // at this threshold unless told otherwise.
 const DefaultCalibrationThreshold = 0.25
 
-// MeasureTemplateTraced is MeasureTemplate plus plan attribution: the same
-// reroute-and-execute procedure, returning the measured seconds together
-// with the exec.PlanTrace naming the design object and access path that
-// served the template, the rows it scanned versus returned, and the cost
-// model's estimate next to the measurement. The returned seconds are
-// bit-identical to MeasureTemplate's — both run the single routed plan
-// through exec.Execute and convert the same IOStats — so switching the
-// controller's pricing to the traced variant cannot move any table.
+// MeasureTemplateTraced prices one query on a deployed design through the
+// real simulated substrate: the design is rerouted for the single-query
+// workload, materialized through an evaluator sharing the given cache, and
+// its routed plan executed — the one measurement procedure the controller
+// (and the adapt and tenant experiments' static baselines) charge stream
+// events with, so every run prices a (state, template) pair identically.
+// Besides the measured seconds it returns the exec.PlanTrace naming the
+// design object and access path that served the template, the rows it
+// scanned versus returned, and the cost model's estimate next to the
+// measurement; callers that only need the seconds discard the trace.
 func MeasureTemplateTraced(st *stats.Stats, disk storage.DiskParams, cache *designer.ObjectCache,
 	model costmodel.Model, d *designer.Design, q *query.Query) (float64, exec.PlanTrace, error) {
 

@@ -25,17 +25,16 @@ type taskResult struct {
 	proven     bool
 }
 
-// solveParallel runs the deterministic parallel subtree search, mirroring
-// internal/ilp's decomposition: a sequential enumeration pass splits the
-// permutation tree at a fixed frontier depth, and the independent
-// subproblems are solved on the worker pool. Subtree i prunes with the
-// incumbent assembled from the greedy seed plus the published results of
-// subtrees 0..i−W — a deterministic prefix it explicitly waits for —
-// and results are merged in fixed subtree order with the sequential
-// strict-improvement rule, so for a fixed problem the schedule and its
-// cumulative cost are bit-identical run to run at any worker count (node
-// counts differ: subtrees prune against a staler incumbent, and each
-// carries its own visited-state memo).
+// solveParallel runs the deterministic parallel subtree search, the same
+// decomposition as internal/ilp's: a sequential enumeration pass splits
+// the permutation tree at a fixed frontier depth, and par.Ordered solves
+// the independent subproblems, subtree i pruning with the greedy seed
+// folded with the results of subtrees 0..i−W. Results are merged in fixed
+// subtree order with the sequential strict-improvement rule, so for a
+// fixed problem the schedule and its cumulative cost are bit-identical
+// run to run at any worker count (node counts differ: subtrees prune
+// against a staler incumbent, and each carries its own visited-state
+// memo).
 func (s *sched) solveParallel(workers int, times []float64) {
 	// Frontier depth: enough prefix permutations to feed the pool.
 	depth, perms := 1, s.n
@@ -57,31 +56,15 @@ func (s *sched) solveParallel(workers int, times []float64) {
 		return // the enumeration pruned everything; it was the full search
 	}
 
-	w := workers
-	if w > len(leaves) {
-		w = len(leaves)
-	}
-	results := make([]taskResult, len(leaves))
-	done := make([]chan struct{}, len(leaves))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	enumBest := s.bestCum
-	par.ForEach(len(leaves), w, func(i int) {
-		defer close(done[i])
-		inc := enumBest
-		for j := 0; j <= i-w; j++ {
-			<-done[j]
-			if results[j].cum < inc {
-				inc = results[j].cum
-			}
-		}
-		t := s.task(inc)
-		leaf := &leaves[i]
-		t.path = append(t.path, leaf.path...)
-		t.dfs(depth, leaf.mask, leaf.times, leaf.rate, leaf.cum)
-		results[i] = taskResult{cum: t.bestCum, order: t.bestOrder, nodes: t.nodes, pruned: t.pruned, incumbents: t.incumbents, proven: t.proven}
-	})
+	results := par.Ordered(len(leaves), workers, s.bestCum,
+		func(r taskResult) float64 { return r.cum },
+		func(i int, inc float64) taskResult {
+			t := s.task(inc)
+			leaf := &leaves[i]
+			t.path = append(t.path, leaf.path...)
+			t.dfs(depth, leaf.mask, leaf.times, leaf.rate, leaf.cum)
+			return taskResult{cum: t.bestCum, order: t.bestOrder, nodes: t.nodes, pruned: t.pruned, incumbents: t.incumbents, proven: t.proven}
+		})
 
 	// Merge in fixed subtree order with the sequential improvement rule.
 	for i := range results {

@@ -80,7 +80,7 @@ func adaptLoopConfig(env *Env, budget int64, cache *designer.ObjectCache,
 
 	roundSec := 0.0
 	for _, q := range env.W {
-		sec, err := adapt.MeasureTemplate(env.St, env.Common.Disk, cache, model, d, q)
+		sec, _, err := adapt.MeasureTemplateTraced(env.St, env.Common.Disk, cache, model, d, q)
 		if err != nil {
 			return adapt.Config{}, err
 		}
@@ -113,7 +113,7 @@ func adaptLoopConfig(env *Env, budget int64, cache *designer.ObjectCache,
 // adaptive controller (observe → drift → warm-started redesign → schedule
 // → replan) is raced against both static designs on the identical stream,
 // with every event charged its measured simulated seconds on whatever
-// state serves it (adapt.MeasureTemplate, one shared materialization
+// state serves it (adapt.MeasureTemplateTraced, one shared materialization
 // cache) — cumulative workload-seconds, the deploy objective extended to
 // the whole serving timeline.
 func AdaptAblation(s Scale) (*AdaptResult, *Table, error) {
@@ -149,7 +149,7 @@ func AdaptAblation(s Scale) (*AdaptResult, *Table, error) {
 	}
 
 	// Race the three contenders event by event on identical charging:
-	// adapt.MeasureTemplate per (state, template), shared cache.
+	// adapt.MeasureTemplateTraced per (state, template), shared cache.
 	fp := make(map[*query.Query]string)
 	keyOf := func(q *query.Query) string {
 		k, ok := fp[q]
@@ -166,7 +166,7 @@ func AdaptAblation(s Scale) (*AdaptResult, *Table, error) {
 		if sec, ok := rates[k]; ok {
 			return sec, nil
 		}
-		sec, err := adapt.MeasureTemplate(env.St, env.Common.Disk, cache, des1.Model, d, q)
+		sec, _, err := adapt.MeasureTemplateTraced(env.St, env.Common.Disk, cache, des1.Model, d, q)
 		if err != nil {
 			return 0, err
 		}

@@ -93,7 +93,7 @@ func tenantStreams(ssbEnv, apbEnv *Env) []tenantSpec {
 func measureTenant(env *Env, model *costmodel.Aware, d *designer.Design, w query.Workload) (float64, error) {
 	total := 0.0
 	for _, q := range w {
-		sec, err := adapt.MeasureTemplate(env.St, env.Common.Disk, env.Evaluator().Cache, model, d, q)
+		sec, _, err := adapt.MeasureTemplateTraced(env.St, env.Common.Disk, env.Evaluator().Cache, model, d, q)
 		if err != nil {
 			return 0, err
 		}

@@ -114,7 +114,21 @@ func (o *SolveOptions) IsZero() bool {
 // constraint is what binds. Both are maintained incrementally along
 // exclude chains, bit-identically to full recomputation.
 func Solve(p *Problem, opts SolveOptions) *Solution {
-	red := reduce(p, opts)
+	red, s := search(p, 0, opts)
+	return red.lift(p, s)
+}
+
+// search runs one branch-and-bound — Solve's (lambda = 0) or
+// SolvePenalized's (lambda > 0, which differs only in its reduction,
+// incumbent seed and bound table; see SolvePenalized) — and returns the
+// finished solver together with the reduction it searched.
+func search(p *Problem, lambda float64, opts SolveOptions) (*reduction, *solver) {
+	var red *reduction
+	if lambda > 0 {
+		red = reducePenalized(p, lambda)
+	} else {
+		red = reduce(p, opts)
+	}
 	rp := red.p
 
 	maxNodes := opts.MaxNodes
@@ -128,34 +142,17 @@ func Solve(p *Problem, opts SolveOptions) *Solution {
 		deadline = time.Now().Add(opts.TimeLimit)
 	}
 	order := orderByDensity(rp)
-
-	// Incumbent from greedy on the reduced problem, optionally polished by
-	// local search — the cheapest node-count lever the search has.
-	inc := Greedy(rp, 2, len(rp.Cands))
-	incChosen, incObj := append([]int(nil), inc.Chosen...), inc.Objective
-	if !opts.NoPolish {
-		incChosen, incObj = polish(rp, incChosen, incObj)
-	}
-	// A warm start can only tighten the initial incumbent: the better of
-	// the (polished) greedy solution and the (polished) warm subset seeds
-	// the search, so warm-solve pruning dominates cold-solve pruning.
-	if len(opts.WarmStart) > 0 {
-		if wChosen, wObj, ok := red.warmIncumbent(opts.WarmStart); ok {
-			if !opts.NoPolish {
-				wChosen, wObj = polish(rp, wChosen, wObj)
-			}
-			if wObj < incObj {
-				incChosen, incObj = wChosen, wObj
-			}
-		}
-	}
-
 	s := newSolver(rp, order, maxNodes, deadline)
 	s.interrupt = opts.Interrupt
-	s.bestObj = incObj
-	s.bestChosen = incChosen
-	if !opts.NoLagrangian {
-		s.lag = newLagrangian(rp, s, incObj)
+	if lambda > 0 {
+		s.penalty = lambda
+		s.bestChosen, s.bestObj = penalizedSeed(rp, order, lambda, red.toReduced(opts.WarmStart))
+		s.lag = newPenaltyLagrangian(rp, s, lambda)
+	} else {
+		s.bestChosen, s.bestObj = red.incumbent(opts)
+		if !opts.NoLagrangian {
+			s.lag = newLagrangian(rp, s, s.bestObj)
+		}
 	}
 	if opts.Progress != nil {
 		// Arm the sink. The root bound is the greedy relaxation at the
@@ -183,8 +180,30 @@ func Solve(p *Problem, opts SolveOptions) *Solution {
 		s.dfs(0, 0, bestTimes, s.objectiveOf(bestTimes), -1, nil, map[int]bool{})
 	}
 	s.emit("final", -1)
+	return red, s
+}
 
-	return red.lift(p, s)
+// incumbent seeds Solve's search: greedy on the reduced problem, optionally
+// polished by local search — the cheapest node-count lever the search has
+// — and replaced by the (polished) warm start when that is better, so
+// warm-solve pruning dominates cold-solve pruning.
+func (r *reduction) incumbent(opts SolveOptions) ([]int, float64) {
+	inc := Greedy(r.p, 2, len(r.p.Cands))
+	incChosen, incObj := append([]int(nil), inc.Chosen...), inc.Objective
+	if !opts.NoPolish {
+		incChosen, incObj = polish(r.p, incChosen, incObj)
+	}
+	if len(opts.WarmStart) > 0 {
+		if wChosen, wObj, ok := r.warmIncumbent(opts.WarmStart); ok {
+			if !opts.NoPolish {
+				wChosen, wObj = polish(r.p, wChosen, wObj)
+			}
+			if wObj < incObj {
+				incChosen, incObj = wChosen, wObj
+			}
+		}
+	}
+	return incChosen, incObj
 }
 
 // solver carries the precomputed tables (shared, read-only after
@@ -207,6 +226,10 @@ type solver struct {
 	// lag is the Lagrangian budget bound, nil when disabled or when the
 	// root multiplier degenerates to zero (identical to the greedy bound).
 	lag *lagrangian
+	// penalty is SolvePenalized's λ (0 for Solve): each include adds
+	// λ·size to the objective, lag is the fixed-λ bound table and the
+	// only bound, and it is never disarmed.
+	penalty float64
 
 	// Mutable search state.
 	decided []int8 // 0 undecided, 1 included, 2 excluded
@@ -350,7 +373,7 @@ func (s *solver) dfs(pos int, usedSize int64, bestTimes []float64, cur float64, 
 		s.proven = false
 		return
 	}
-	if s.lag != nil && s.nodes == lagProbeNodes && s.lagWins*100 < s.nodes {
+	if s.lag != nil && s.nodes == lagProbeNodes && s.penalty == 0 && s.lagWins*100 < s.nodes {
 		s.lag = nil // pruning <1% of nodes: not worth its per-node cost
 	}
 	if cur < s.bestObj-1e-12 {
@@ -374,7 +397,7 @@ func (s *solver) dfs(pos int, usedSize int64, bestTimes []float64, cur float64, 
 	if fits && factOK {
 		// Include m. The new times and their objective are built in one
 		// pass — the sum visits queries in the same order as objectiveOf,
-		// so the value is bit-identical.
+		// so the value is bit-identical; the penalty term is +0 in Solve.
 		s.decided[m] = 1
 		newTimes := s.timesRow(pos + 1)
 		improved := false
@@ -388,6 +411,7 @@ func (s *solver) dfs(pos int, usedSize int64, bestTimes []float64, cur float64, 
 			newObj += s.weights[q] * t
 		}
 		if improved {
+			newObj += s.penalty * float64(usedSize+cand.Size)
 			if cand.FactGroup > 0 {
 				factUsed[cand.FactGroup] = true
 			}
@@ -405,15 +429,24 @@ func (s *solver) dfs(pos int, usedSize int64, bestTimes []float64, cur float64, 
 }
 
 // bound computes the node's admissible bound: the greedy relaxation, or
-// the larger of it and the Lagrangian bound when the latter is armed. A
+// the larger of it and the Lagrangian bound when the latter is armed; in
+// a penalized search, where the greedy relaxation ignores the penalty,
+// the fixed-λ Lagrangian bound alone. A
 // full scan runs after an include (times and budget both changed); an
 // incremental update over the parent's per-query picks runs after an
 // exclude (only queries whose pick was just excluded can change) — both
 // paths produce bit-identical totals, for each bound.
 func (s *solver) bound(pos int, usedSize int64, bestTimes []float64, excluded int) float64 {
 	s.row(pos)
+	full := excluded < 0 || pos == 0
+	if s.penalty > 0 {
+		if full {
+			return s.lagBoundFull(bestTimes, usedSize, pos)
+		}
+		return s.lagBoundExcluded(bestTimes, usedSize, pos, excluded)
+	}
 	var b float64
-	if excluded < 0 || pos == 0 {
+	if full {
 		b = s.boundFull(bestTimes, usedSize, pos)
 		if s.lag != nil {
 			if lb := s.lagBoundFull(bestTimes, usedSize, pos); lb > b {
@@ -495,31 +528,42 @@ func (s *solver) boundExcluded(bestTimes []float64, usedSize int64, pos, ex int)
 	return total
 }
 
-// orderByDensity sorts candidate indexes by benefit density descending.
-func orderByDensity(p *Problem) []int {
-	type scored struct {
-		idx     int
-		density float64
-	}
-	sc := make([]scored, len(p.Cands))
+// soloBenefit returns, per candidate, Σ_q w_q·max(0, base_q − t_q): the
+// most including it alone can save. Per query a set saves no more than its
+// best member, so no candidate ever lowers an objective by more.
+func soloBenefit(p *Problem) []float64 {
+	out := make([]float64, len(p.Cands))
 	for m := range p.Cands {
-		benefit := 0.0
+		b := 0.0
 		for q := 0; q < p.numQueries(); q++ {
 			if t := p.Cands[m].Times[q]; t < p.Base[q] {
-				benefit += p.weight(q) * (p.Base[q] - t)
+				b += p.weight(q) * (p.Base[q] - t)
 			}
 		}
-		size := float64(p.Cands[m].Size)
-		if size < 1 {
-			size = 1
-		}
-		sc[m] = scored{m, benefit / size}
+		out[m] = b
 	}
-	sort.SliceStable(sc, func(i, j int) bool { return sc[i].density > sc[j].density })
-	out := make([]int, len(sc))
-	for i, s := range sc {
-		out[i] = s.idx
+	return out
+}
+
+// densities returns each candidate's solo benefit per byte (sizes below one
+// byte count as one).
+func densities(p *Problem) []float64 {
+	out := soloBenefit(p)
+	for m := range out {
+		out[m] /= math.Max(float64(p.Cands[m].Size), 1)
 	}
+	return out
+}
+
+// orderByDensity sorts candidate indexes by benefit density descending,
+// ties by index.
+func orderByDensity(p *Problem) []int {
+	dens := densities(p)
+	out := make([]int, len(dens))
+	for m := range out {
+		out[m] = m
+	}
+	sort.SliceStable(out, func(i, j int) bool { return dens[out[i]] > dens[out[j]] })
 	return out
 }
 

@@ -248,16 +248,36 @@ func reduce(p *Problem, opts SolveOptions) *reduction {
 	}
 }
 
-// warmIncumbent maps a caller-supplied warm-start set (original candidate
-// indexes) into the reduced problem and clips it to a feasible improving
-// subset, scanned in the given order: entries that were dropped or fixed
-// by preprocessing, exceed the remaining budget, collide on a fact group,
-// repeat, or improve no query over the running times are skipped — the
-// same include gate the search applies. Returns the reduced-space chosen
-// set and its objective (summed in query order, bit-identical to
-// solver.objectiveOf); ok is false when nothing usable remains.
-func (r *reduction) warmIncumbent(warm []int) ([]int, float64, bool) {
-	rp := r.p
+// reducePenalized is SolvePenalized's only reduction, the solo-benefit
+// pre-prune: a candidate's marginal benefit in any set is at most its solo
+// benefit, so one that does not fit the budget or whose solo benefit does
+// not exceed λ·size can never pay its penalty and is dropped. Nothing is
+// fixed, and dominance is not applied.
+func reducePenalized(p *Problem, lambda float64) *reduction {
+	solo := soloBenefit(p)
+	var active []int
+	for m := range p.Cands {
+		if size := p.Cands[m].Size; size <= p.Budget && solo[m] > lambda*float64(size) {
+			active = append(active, m)
+		}
+	}
+	if len(active) == len(p.Cands) {
+		return &reduction{p: p}
+	}
+	cands := make([]Candidate, len(active))
+	for i, m := range active {
+		cands[i] = p.Cands[m]
+	}
+	return &reduction{
+		p:      &Problem{Cands: cands, Base: p.Base, Weights: p.Weights, Budget: p.Budget},
+		active: active,
+	}
+}
+
+// toReduced maps original candidate indexes into the reduced problem, in
+// order and with repeats kept, skipping those out of range or removed by
+// preprocessing.
+func (r *reduction) toReduced(orig []int) []int {
 	var redIdx map[int]int
 	if r.active != nil {
 		redIdx = make(map[int]int, len(r.active))
@@ -265,22 +285,36 @@ func (r *reduction) warmIncumbent(warm []int) ([]int, float64, bool) {
 			redIdx[m] = i
 		}
 	}
+	var out []int
+	for _, m := range orig {
+		if redIdx == nil {
+			if m >= 0 && m < len(r.p.Cands) {
+				out = append(out, m)
+			}
+		} else if ri, ok := redIdx[m]; ok {
+			out = append(out, ri)
+		}
+	}
+	return out
+}
+
+// warmIncumbent clips a caller-supplied warm-start set (original candidate
+// indexes) to a feasible improving subset of the reduced problem, scanned
+// in the given order: entries that were dropped or fixed by preprocessing,
+// exceed the remaining budget, collide on a fact group, repeat, or improve
+// no query over the running times are skipped — the same include gate the
+// search applies. Returns the reduced-space chosen set and its objective
+// (summed in query order, bit-identical to solver.objectiveOf); ok is
+// false when nothing usable remains.
+func (r *reduction) warmIncumbent(warm []int) ([]int, float64, bool) {
+	rp := r.p
 	nQ := rp.numQueries()
 	times := append([]float64(nil), rp.Base...)
 	var chosen []int
 	var size int64
 	factUsed := map[int]bool{}
 	seen := map[int]bool{}
-	for _, m := range warm {
-		ri := m
-		if redIdx != nil {
-			var ok bool
-			if ri, ok = redIdx[m]; !ok {
-				continue // dropped or fixed by preprocessing
-			}
-		} else if m < 0 || m >= len(rp.Cands) {
-			continue
-		}
+	for _, ri := range r.toReduced(warm) {
 		if seen[ri] {
 			continue
 		}

@@ -23,6 +23,39 @@ import (
 	"coradd/internal/par"
 )
 
+// SolvePenalized solves the per-tenant Lagrangian subproblem of the
+// decomposition: minimize
+//
+//	obj(S) + lambda · size(S)
+//
+// subject to size(S) ≤ p.Budget and the fact-group exclusion rule. The
+// returned Solution reports the *unpenalized* objective obj(S) — the same
+// semantics as Solve — with Chosen ascending, so callers recover the
+// Lagrangian value as Objective + lambda·Size; with lambda = 0 the call
+// is Solve.
+//
+// For lambda > 0 it is Solve's branch-and-bound with the penalty folded
+// in: each include adds lambda·size, the bound is the per-query
+// Lagrangian relaxation held at lambda (newPenaltyLagrangian), the
+// incumbent is a penalized greedy or the clipped warm start
+// (penalizedSeed), and the only reduction is the solo-benefit pre-prune
+// (reducePenalized) — the lever that keeps high-λ probes near-free. The
+// search is sequential and unobserved: opts.Workers and opts.Progress are
+// ignored (the decomposition parallelizes across tenants instead), as are
+// the preprocessing, Lagrangian and polish switches.
+func SolvePenalized(p *Problem, lambda float64, opts SolveOptions) *Solution {
+	if lambda <= 0 {
+		return Solve(p, opts)
+	}
+	opts.Workers, opts.Progress = 0, nil
+	red, s := search(p, lambda, opts)
+	sol := red.lift(p, s)
+	sort.Ints(sol.Chosen)
+	sol.Objective = p.Objective(sol.Chosen)
+	sol.PerQuery = perQueryRouting(p, sol.Chosen)
+	return sol
+}
+
 // DualOptions tunes DualDecompose.
 type DualOptions struct {
 	// Solve configures each per-tenant subproblem solve. WarmStart is
@@ -367,39 +400,26 @@ func dualRepair(problems []*Problem, budget int64, ds *DualSolution) {
 // budget is slack, it is the union of everything the tenant could ever
 // want: DualDecompose's λ=0 appetite screen.
 func takeAllBeneficial(p *Problem) []int {
-	nQ := p.numQueries()
-	type scored struct {
-		idx  int
-		solo float64
-	}
-	var sc []scored
+	solo, dens := soloBenefit(p), densities(p)
+	var idx []int
 	for m := range p.Cands {
-		if p.Cands[m].Size > p.Budget {
-			continue
-		}
-		solo := 0.0
-		for q := 0; q < nQ; q++ {
-			if t := p.Cands[m].Times[q]; t < p.Base[q] {
-				solo += p.weight(q) * (p.Base[q] - t)
-			}
-		}
-		if solo > 0 {
-			sc = append(sc, scored{m, solo / float64(max64(p.Cands[m].Size, 1))})
+		if p.Cands[m].Size <= p.Budget && solo[m] > 0 {
+			idx = append(idx, m)
 		}
 	}
-	sort.SliceStable(sc, func(i, j int) bool { return sc[i].solo > sc[j].solo })
+	sort.SliceStable(idx, func(i, j int) bool { return dens[idx[i]] > dens[idx[j]] })
 	var chosen []int
 	var used int64
 	factUsed := map[int]bool{}
-	for _, s := range sc {
-		c := &p.Cands[s.idx]
+	for _, m := range idx {
+		c := &p.Cands[m]
 		if used+c.Size > p.Budget {
 			continue
 		}
 		if c.FactGroup > 0 && factUsed[c.FactGroup] {
 			continue
 		}
-		chosen = append(chosen, s.idx)
+		chosen = append(chosen, m)
 		used += c.Size
 		if c.FactGroup > 0 {
 			factUsed[c.FactGroup] = true

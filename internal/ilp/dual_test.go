@@ -3,6 +3,8 @@ package ilp
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -76,6 +78,241 @@ func TestSolvePenalizedWarmStart(t *testing.T) {
 		wv := warm.Objective + lambda*float64(warm.Size)
 		if math.Abs(cv-wv) > 1e-9 {
 			t.Fatalf("trial %d: warm %.6f vs cold %.6f", trial, wv, cv)
+		}
+	}
+}
+
+// penalizedCase is one SolvePenalized input of the golden λ > 0 table.
+type penalizedCase struct {
+	name   string
+	p      *Problem
+	lambda float64
+	opts   SolveOptions
+	// warmFrom, when ≥ 0, names an earlier case whose Chosen becomes this
+	// case's WarmStart — the dual's warm chain across λ probes.
+	warmFrom int
+}
+
+// penalizedGoldenCases builds the golden table's inputs: seeded random
+// problems (odd ones weighted) × a λ grid × {cold, junk warm start, random
+// subset warm start, warm chain from the previous λ}, plus node-capped,
+// interrupted and capped warm solves.
+func penalizedGoldenCases() []penalizedCase {
+	shapes := []struct {
+		seed int64
+		n, q int
+	}{{1, 8, 3}, {2, 12, 5}, {3, 16, 6}, {4, 20, 8}, {5, 24, 10}, {6, 30, 12}}
+	var cases []penalizedCase
+	for pi, sh := range shapes {
+		rng := rand.New(rand.NewSource(sh.seed))
+		p := randomProblem(rng, sh.n, sh.q)
+		if pi%2 == 1 {
+			p.Weights = make([]float64, sh.q)
+			for q := range p.Weights {
+				p.Weights[q] = 0.5 + rng.Float64()*3
+			}
+		}
+		n := sh.n
+		junk := []int{n - 1, -1, 0, n + 2, n / 2, n / 2, 1}
+		var subset []int
+		for m := 0; m < n; m++ {
+			if rng.Float64() < 0.4 {
+				subset = append(subset, m)
+			}
+		}
+		name := "p" + strconv.Itoa(pi)
+		prevCold := -1
+		for _, lambda := range []float64{0.002, 0.01, 0.03, 0.1, 0.4} {
+			l := name + "/λ=" + strconv.FormatFloat(lambda, 'g', -1, 64)
+			cold := len(cases)
+			cases = append(cases,
+				penalizedCase{l + "/cold", p, lambda, SolveOptions{}, -1},
+				penalizedCase{l + "/warm-junk", p, lambda, SolveOptions{WarmStart: junk}, -1},
+				penalizedCase{l + "/warm-subset", p, lambda, SolveOptions{WarmStart: subset}, -1},
+			)
+			if prevCold >= 0 {
+				cases = append(cases, penalizedCase{l + "/warm-chain", p, lambda, SolveOptions{}, prevCold})
+			}
+			prevCold = cold
+		}
+		cases = append(cases,
+			penalizedCase{name + "/capped", p, 0.002, SolveOptions{MaxNodes: 40}, -1},
+			penalizedCase{name + "/interrupted", p, 0.002, SolveOptions{Interrupt: func(nodes int) bool { return nodes >= 25 }}, -1},
+			penalizedCase{name + "/capped-warm", p, 0.03, SolveOptions{MaxNodes: 60, WarmStart: subset}, -1},
+		)
+	}
+	return cases
+}
+
+// penalizedGolden records the search shape of every penalizedGoldenCases
+// solve: Chosen, Objective, Size, Proven, Nodes, Pruned and
+// IncumbentUpdates, as produced by the standalone penalized search that
+// preceded the shared branch-and-bound engine.
+var penalizedGolden = []struct {
+	name                string
+	chosen              []int
+	obj                 float64
+	size                int64
+	proven              bool
+	nodes, pruned, incs int
+}{
+	{"p0/λ=0.002/cold", []int{0, 4, 7}, 1.6823110149320923, 37, true, 5, 3, 0},
+	{"p0/λ=0.002/warm-junk", []int{0, 4, 7}, 1.6823110149320923, 37, true, 5, 3, 0},
+	{"p0/λ=0.002/warm-subset", []int{0, 4, 7}, 1.6823110149320923, 37, true, 5, 3, 0},
+	{"p0/λ=0.01/cold", []int{0, 4, 7}, 1.6823110149320923, 37, true, 5, 3, 0},
+	{"p0/λ=0.01/warm-junk", []int{0, 4, 7}, 1.6823110149320923, 37, true, 5, 3, 0},
+	{"p0/λ=0.01/warm-subset", []int{0, 4, 7}, 1.6823110149320923, 37, true, 5, 3, 0},
+	{"p0/λ=0.01/warm-chain", []int{0, 4, 7}, 1.6823110149320923, 37, true, 5, 3, 0},
+	{"p0/λ=0.03/cold", []int{0, 7}, 2.373826365664358, 5, true, 1, 1, 0},
+	{"p0/λ=0.03/warm-junk", []int{0, 7}, 2.373826365664358, 5, true, 1, 1, 0},
+	{"p0/λ=0.03/warm-subset", []int{0, 7}, 2.373826365664358, 5, true, 1, 1, 0},
+	{"p0/λ=0.03/warm-chain", []int{0, 7}, 2.373826365664358, 5, true, 1, 1, 0},
+	{"p0/λ=0.1/cold", []int{0, 7}, 2.373826365664358, 5, true, 1, 1, 0},
+	{"p0/λ=0.1/warm-junk", []int{0, 7}, 2.373826365664358, 5, true, 1, 1, 0},
+	{"p0/λ=0.1/warm-subset", []int{0, 7}, 2.373826365664358, 5, true, 1, 1, 0},
+	{"p0/λ=0.1/warm-chain", []int{0, 7}, 2.373826365664358, 5, true, 1, 1, 0},
+	{"p0/λ=0.4/cold", []int{0, 7}, 2.373826365664358, 5, true, 1, 1, 0},
+	{"p0/λ=0.4/warm-junk", []int{0, 7}, 2.373826365664358, 5, true, 1, 1, 0},
+	{"p0/λ=0.4/warm-subset", []int{0, 7}, 2.373826365664358, 5, true, 1, 1, 0},
+	{"p0/λ=0.4/warm-chain", []int{0, 7}, 2.373826365664358, 5, true, 1, 1, 0},
+	{"p0/capped", []int{0, 4, 7}, 1.6823110149320923, 37, true, 5, 3, 0},
+	{"p0/interrupted", []int{0, 4, 7}, 1.6823110149320923, 37, true, 5, 3, 0},
+	{"p0/capped-warm", []int{0, 7}, 2.373826365664358, 5, true, 1, 1, 0},
+	{"p1/λ=0.002/cold", []int{1, 2, 5, 6}, 18.00843918933724, 116, true, 45, 23, 2},
+	{"p1/λ=0.002/warm-junk", []int{1, 2, 5, 6}, 18.00843918933724, 116, true, 45, 23, 2},
+	{"p1/λ=0.002/warm-subset", []int{1, 2, 5, 6}, 18.00843918933724, 116, true, 45, 23, 2},
+	{"p1/λ=0.01/cold", []int{1, 2, 5, 6}, 18.00843918933724, 116, true, 45, 23, 2},
+	{"p1/λ=0.01/warm-junk", []int{1, 2, 5, 6}, 18.00843918933724, 116, true, 45, 23, 2},
+	{"p1/λ=0.01/warm-subset", []int{1, 2, 5, 6}, 18.00843918933724, 116, true, 45, 23, 2},
+	{"p1/λ=0.01/warm-chain", []int{1, 2, 5, 6}, 18.00843918933724, 116, true, 39, 20, 0},
+	{"p1/λ=0.03/cold", []int{1, 2, 5, 6}, 18.00843918933724, 116, true, 45, 23, 2},
+	{"p1/λ=0.03/warm-junk", []int{1, 2, 5, 6}, 18.00843918933724, 116, true, 45, 23, 2},
+	{"p1/λ=0.03/warm-subset", []int{1, 2, 5, 6}, 18.00843918933724, 116, true, 45, 23, 2},
+	{"p1/λ=0.03/warm-chain", []int{1, 2, 5, 6}, 18.00843918933724, 116, true, 39, 20, 0},
+	{"p1/λ=0.1/cold", []int{1, 6, 7, 9}, 20.37775482249468, 67, true, 23, 12, 0},
+	{"p1/λ=0.1/warm-junk", []int{1, 6, 7, 9}, 20.37775482249468, 67, true, 23, 12, 0},
+	{"p1/λ=0.1/warm-subset", []int{1, 6, 7, 9}, 20.37775482249468, 67, true, 23, 12, 0},
+	{"p1/λ=0.1/warm-chain", []int{1, 6, 7, 9}, 20.37775482249468, 67, true, 23, 12, 0},
+	{"p1/λ=0.4/cold", []int{1, 2}, 36.83841285409351, 12, true, 7, 4, 0},
+	{"p1/λ=0.4/warm-junk", []int{1, 2}, 36.83841285409351, 12, true, 7, 4, 0},
+	{"p1/λ=0.4/warm-subset", []int{1, 2}, 36.83841285409351, 12, true, 7, 4, 0},
+	{"p1/λ=0.4/warm-chain", []int{1, 2}, 36.83841285409351, 12, true, 7, 4, 0},
+	{"p1/capped", []int{1, 2, 5, 6}, 18.00843918933724, 116, false, 43, 19, 2},
+	{"p1/interrupted", []int{1, 2, 5, 6}, 18.00843918933724, 116, false, 27, 11, 2},
+	{"p1/capped-warm", []int{1, 2, 5, 6}, 18.00843918933724, 116, true, 45, 23, 2},
+	{"p2/λ=0.002/cold", []int{6, 10}, 16.838829737174017, 97, true, 93, 45, 0},
+	{"p2/λ=0.002/warm-junk", []int{6, 10}, 16.838829737174017, 97, true, 93, 45, 0},
+	{"p2/λ=0.002/warm-subset", []int{6, 10}, 16.838829737174017, 97, true, 93, 45, 0},
+	{"p2/λ=0.01/cold", []int{6, 10}, 16.838829737174017, 97, true, 93, 45, 0},
+	{"p2/λ=0.01/warm-junk", []int{6, 10}, 16.838829737174017, 97, true, 93, 45, 0},
+	{"p2/λ=0.01/warm-subset", []int{6, 10}, 16.838829737174017, 97, true, 93, 45, 0},
+	{"p2/λ=0.01/warm-chain", []int{6, 10}, 16.838829737174017, 97, true, 93, 45, 0},
+	{"p2/λ=0.03/cold", []int{6, 10}, 16.838829737174017, 97, true, 75, 36, 0},
+	{"p2/λ=0.03/warm-junk", []int{6, 10}, 16.838829737174017, 97, true, 75, 36, 0},
+	{"p2/λ=0.03/warm-subset", []int{6, 10}, 16.838829737174017, 97, true, 75, 36, 0},
+	{"p2/λ=0.03/warm-chain", []int{6, 10}, 16.838829737174017, 97, true, 75, 36, 0},
+	{"p2/λ=0.1/cold", []int{6, 10}, 16.838829737174017, 97, true, 38, 19, 0},
+	{"p2/λ=0.1/warm-junk", []int{6, 10}, 16.838829737174017, 97, true, 38, 19, 0},
+	{"p2/λ=0.1/warm-subset", []int{6, 10}, 16.838829737174017, 97, true, 38, 19, 0},
+	{"p2/λ=0.1/warm-chain", []int{6, 10}, 16.838829737174017, 97, true, 38, 19, 0},
+	{"p2/λ=0.4/cold", []int{2}, 31.01608044976414, 34, true, 5, 3, 0},
+	{"p2/λ=0.4/warm-junk", []int{2}, 31.01608044976414, 34, true, 5, 3, 0},
+	{"p2/λ=0.4/warm-subset", []int{2}, 31.01608044976414, 34, true, 5, 3, 0},
+	{"p2/λ=0.4/warm-chain", []int{2}, 31.01608044976414, 34, true, 5, 3, 0},
+	{"p2/capped", []int{6, 10}, 16.838829737174017, 97, false, 42, 18, 0},
+	{"p2/interrupted", []int{6, 10}, 16.838829737174017, 97, false, 27, 10, 0},
+	{"p2/capped-warm", []int{6, 10}, 16.838829737174017, 97, false, 61, 28, 0},
+	{"p3/λ=0.002/cold", []int{1, 3, 12, 13, 14, 18}, 18.567913747416647, 226, true, 1529, 679, 0},
+	{"p3/λ=0.002/warm-junk", []int{1, 3, 12, 13, 14, 18}, 18.567913747416647, 226, true, 1529, 679, 0},
+	{"p3/λ=0.002/warm-subset", []int{1, 3, 12, 13, 14, 18}, 18.567913747416647, 226, true, 1529, 679, 0},
+	{"p3/λ=0.01/cold", []int{1, 3, 12, 13, 18}, 18.69335418154233, 208, true, 1526, 680, 0},
+	{"p3/λ=0.01/warm-junk", []int{1, 3, 12, 13, 18}, 18.69335418154233, 208, true, 1526, 680, 0},
+	{"p3/λ=0.01/warm-subset", []int{1, 3, 12, 13, 18}, 18.69335418154233, 208, true, 1526, 680, 0},
+	{"p3/λ=0.01/warm-chain", []int{1, 3, 12, 13, 18}, 18.69335418154233, 208, true, 1526, 680, 0},
+	{"p3/λ=0.03/cold", []int{1, 3, 12, 13, 18}, 18.69335418154233, 208, true, 1391, 625, 0},
+	{"p3/λ=0.03/warm-junk", []int{1, 3, 12, 13, 18}, 18.69335418154233, 208, true, 1391, 625, 0},
+	{"p3/λ=0.03/warm-subset", []int{1, 3, 12, 13, 18}, 18.69335418154233, 208, true, 1391, 625, 0},
+	{"p3/λ=0.03/warm-chain", []int{1, 3, 12, 13, 18}, 18.69335418154233, 208, true, 1391, 625, 0},
+	{"p3/λ=0.1/cold", []int{3, 8, 12}, 26.92438264674665, 86, true, 478, 224, 0},
+	{"p3/λ=0.1/warm-junk", []int{3, 8, 12}, 26.92438264674665, 86, true, 478, 224, 0},
+	{"p3/λ=0.1/warm-subset", []int{3, 8, 12}, 26.92438264674665, 86, true, 478, 224, 0},
+	{"p3/λ=0.1/warm-chain", []int{3, 8, 12}, 26.92438264674665, 86, true, 478, 224, 0},
+	{"p3/λ=0.4/cold", []int{3, 8}, 32.079149777910686, 68, true, 79, 37, 0},
+	{"p3/λ=0.4/warm-junk", []int{3, 8}, 32.079149777910686, 68, true, 79, 37, 0},
+	{"p3/λ=0.4/warm-subset", []int{3, 8}, 32.079149777910686, 68, true, 79, 37, 0},
+	{"p3/λ=0.4/warm-chain", []int{3, 8}, 32.079149777910686, 68, true, 79, 37, 0},
+	{"p3/capped", []int{1, 3, 12, 13, 14, 18}, 18.567913747416647, 226, false, 46, 15, 0},
+	{"p3/interrupted", []int{1, 3, 12, 13, 14, 18}, 18.567913747416647, 226, false, 30, 8, 0},
+	{"p3/capped-warm", []int{1, 3, 12, 13, 18}, 18.69335418154233, 208, false, 66, 23, 0},
+	{"p4/λ=0.002/cold", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 74, 36, 3},
+	{"p4/λ=0.002/warm-junk", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 74, 36, 3},
+	{"p4/λ=0.002/warm-subset", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 74, 36, 2},
+	{"p4/λ=0.01/cold", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 74, 36, 3},
+	{"p4/λ=0.01/warm-junk", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 74, 36, 3},
+	{"p4/λ=0.01/warm-subset", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 74, 36, 2},
+	{"p4/λ=0.01/warm-chain", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 74, 36, 0},
+	{"p4/λ=0.03/cold", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 68, 33, 3},
+	{"p4/λ=0.03/warm-junk", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 68, 33, 3},
+	{"p4/λ=0.03/warm-subset", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 68, 33, 2},
+	{"p4/λ=0.03/warm-chain", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 68, 33, 0},
+	{"p4/λ=0.1/cold", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 71, 34, 2},
+	{"p4/λ=0.1/warm-junk", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 71, 34, 2},
+	{"p4/λ=0.1/warm-subset", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 71, 34, 2},
+	{"p4/λ=0.1/warm-chain", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, true, 71, 34, 0},
+	{"p4/λ=0.4/cold", []int{1, 5, 6, 10}, 26.409226120782037, 41, true, 34, 13, 0},
+	{"p4/λ=0.4/warm-junk", []int{1, 5, 6, 10}, 26.409226120782037, 41, true, 34, 13, 0},
+	{"p4/λ=0.4/warm-subset", []int{1, 5, 6, 10}, 26.409226120782037, 41, true, 34, 13, 0},
+	{"p4/λ=0.4/warm-chain", []int{1, 5, 6, 10}, 26.409226120782037, 41, true, 34, 13, 0},
+	{"p4/capped", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, false, 42, 18, 3},
+	{"p4/interrupted", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, false, 28, 9, 3},
+	{"p4/capped-warm", []int{1, 5, 6, 7, 10}, 18.556516769483935, 80, false, 62, 28, 2},
+	{"p5/λ=0.002/cold", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 584, 286, 6},
+	{"p5/λ=0.002/warm-junk", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 584, 286, 6},
+	{"p5/λ=0.002/warm-subset", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 584, 286, 6},
+	{"p5/λ=0.01/cold", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 582, 285, 6},
+	{"p5/λ=0.01/warm-junk", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 582, 285, 6},
+	{"p5/λ=0.01/warm-subset", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 582, 285, 6},
+	{"p5/λ=0.01/warm-chain", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 576, 282, 0},
+	{"p5/λ=0.03/cold", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 580, 284, 6},
+	{"p5/λ=0.03/warm-junk", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 580, 284, 6},
+	{"p5/λ=0.03/warm-subset", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 580, 284, 6},
+	{"p5/λ=0.03/warm-chain", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 574, 281, 0},
+	{"p5/λ=0.1/cold", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 570, 279, 0},
+	{"p5/λ=0.1/warm-junk", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 570, 279, 0},
+	{"p5/λ=0.1/warm-subset", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 570, 279, 0},
+	{"p5/λ=0.1/warm-chain", []int{0, 5, 6, 26, 27}, 42.70875220512255, 58, true, 570, 279, 0},
+	{"p5/λ=0.4/cold", []int{0, 6, 26, 27}, 49.21767351569264, 34, true, 496, 242, 0},
+	{"p5/λ=0.4/warm-junk", []int{0, 6, 26, 27}, 49.21767351569264, 34, true, 496, 242, 0},
+	{"p5/λ=0.4/warm-subset", []int{0, 6, 26, 27}, 49.21767351569264, 34, true, 496, 242, 0},
+	{"p5/λ=0.4/warm-chain", []int{0, 6, 26, 27}, 49.21767351569264, 34, true, 496, 242, 0},
+	{"p5/capped", []int{0, 2, 5, 6, 26, 27}, 42.70875220512255, 62, false, 45, 17, 5},
+	{"p5/interrupted", []int{0, 2, 6, 9, 16, 26, 27}, 46.7035303612147, 53, false, 32, 8, 3},
+	{"p5/capped-warm", []int{0, 2, 5, 6, 26, 27}, 42.70875220512255, 62, false, 66, 26, 5},
+}
+
+// TestSolvePenalizedGolden pins SolvePenalized's λ > 0 search shape: every
+// node, prune and incumbent update of the recorded cases must repeat
+// exactly, warm starts, node caps and interrupts included.
+func TestSolvePenalizedGolden(t *testing.T) {
+	cases := penalizedGoldenCases()
+	if len(cases) != len(penalizedGolden) {
+		t.Fatalf("%d cases, %d golden rows", len(cases), len(penalizedGolden))
+	}
+	for i, c := range cases {
+		want := penalizedGolden[i]
+		if c.name != want.name {
+			t.Fatalf("case %d is %q, golden row is %q", i, c.name, want.name)
+		}
+		if c.warmFrom >= 0 {
+			c.opts.WarmStart = penalizedGolden[c.warmFrom].chosen
+		}
+		got := SolvePenalized(c.p, c.lambda, c.opts)
+		if !slices.Equal(got.Chosen, want.chosen) || got.Objective != want.obj || got.Size != want.size ||
+			got.Proven != want.proven || got.Nodes != want.nodes || got.Pruned != want.pruned ||
+			got.IncumbentUpdates != want.incs {
+			t.Errorf("%s: got chosen=%v obj=%v size=%d proven=%v nodes=%d pruned=%d incs=%d; want %v %v %d %v %d %d %d",
+				c.name, got.Chosen, got.Objective, got.Size, got.Proven, got.Nodes, got.Pruned, got.IncumbentUpdates,
+				want.chosen, want.obj, want.size, want.proven, want.nodes, want.pruned, want.incs)
 		}
 	}
 }

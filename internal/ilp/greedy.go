@@ -28,16 +28,7 @@ func Greedy(p *Problem, seedM, k int) *Solution {
 		objBase += weights[q] * p.Base[q]
 	}
 	// benefit[m] bounds how much adding m can ever lower any objective.
-	benefit := make([]float64, n)
-	for m := 0; m < n; m++ {
-		b := 0.0
-		for q := 0; q < nQ; q++ {
-			if t := p.Cands[m].Times[q]; t < p.Base[q] {
-				b += weights[q] * (p.Base[q] - t)
-			}
-		}
-		benefit[m] = b
-	}
+	benefit := soloBenefit(p)
 	// slack absorbs summation rounding so the bound never prunes a subset
 	// the exact evaluation would have accepted (updates need a strict
 	// 1e-12 improvement; rounding is orders of magnitude below this).
@@ -219,19 +210,10 @@ func polish(p *Problem, chosen []int, obj float64) ([]int, float64) {
 	for q := 0; q < nQ; q++ {
 		weights[q] = p.weight(q)
 	}
-	benefit := make([]float64, n)
+	benefit := soloBenefit(p)
 	objBase := 0.0
 	for q := 0; q < nQ; q++ {
 		objBase += weights[q] * p.Base[q]
-	}
-	for m := 0; m < n; m++ {
-		b := 0.0
-		for q := 0; q < nQ; q++ {
-			if t := p.Cands[m].Times[q]; t < p.Base[q] {
-				b += weights[q] * (p.Base[q] - t)
-			}
-		}
-		benefit[m] = b
 	}
 	slack := 1e-9 * (1 + objBase)
 
@@ -347,4 +329,77 @@ func boolToInt(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// penalizedSeed is SolvePenalized's initial incumbent: the better of a
+// penalized greedy — repeatedly add, in the given order, the candidate
+// whose marginal gain net of its λ·size penalty is largest and positive
+// (ties to the earlier one) — and warm, clipped to the entries that fit
+// the budget and the fact-group rule in the given order. Returns the
+// chosen set and its penalized value obj + λ·size.
+func penalizedSeed(p *Problem, order []int, lambda float64, warm []int) ([]int, float64) {
+	value := func(chosen []int) float64 { return p.Objective(chosen) + lambda*float64(p.SizeOf(chosen)) }
+	bestChosen, bestObj := []int(nil), value(nil)
+
+	nQ := p.numQueries()
+	times := append([]float64(nil), p.Base...)
+	var chosen []int
+	var used int64
+	factUsed := map[int]bool{}
+	inSet := make([]bool, len(p.Cands))
+	for {
+		best, bestGain := -1, 0.0
+		for _, m := range order {
+			c := &p.Cands[m]
+			if inSet[m] || used+c.Size > p.Budget || (c.FactGroup > 0 && factUsed[c.FactGroup]) {
+				continue
+			}
+			gain := -lambda * float64(c.Size)
+			for q := 0; q < nQ; q++ {
+				if t := c.Times[q]; t < times[q] {
+					gain += p.weight(q) * (times[q] - t)
+				}
+			}
+			if gain > bestGain+1e-12 {
+				best, bestGain = m, gain
+			}
+		}
+		if best < 0 {
+			break
+		}
+		c := &p.Cands[best]
+		inSet[best] = true
+		chosen = append(chosen, best)
+		used += c.Size
+		if c.FactGroup > 0 {
+			factUsed[c.FactGroup] = true
+		}
+		for q := 0; q < nQ; q++ {
+			if t := c.Times[q]; t < times[q] {
+				times[q] = t
+			}
+		}
+	}
+	if v := value(chosen); v < bestObj-1e-12 {
+		bestChosen, bestObj = chosen, v
+	}
+
+	var wc []int
+	var wUsed int64
+	wFact := map[int]bool{}
+	for _, m := range warm {
+		c := &p.Cands[m]
+		if wUsed+c.Size > p.Budget || (c.FactGroup > 0 && wFact[c.FactGroup]) {
+			continue
+		}
+		wc = append(wc, m)
+		wUsed += c.Size
+		if c.FactGroup > 0 {
+			wFact[c.FactGroup] = true
+		}
+	}
+	if v := value(wc); v < bestObj-1e-12 {
+		bestChosen, bestObj = wc, v
+	}
+	return bestChosen, bestObj
 }

@@ -34,6 +34,8 @@ import (
 // meaningful fraction of the root gap, so slack-budget problems pay
 // nothing.
 type lagrangian struct {
+	// lambda multiplies the remaining budget (the −λ·R term); 0 in the
+	// penalized table, whose λ is the solver's penalty.
 	lambda float64
 	// perQ[q] lists the candidates finite on q sorted by adjusted cost
 	// ascending; adj[q] holds the matching w_q·t + λ·φ·size values.
@@ -70,13 +72,8 @@ func newLagrangian(p *Problem, s *solver, ub float64) *lagrangian {
 	// charge[q][r] = φ_{q,m}·size(m) for m = perQ[q][r], initialized to the
 	// uniform split over the queries m improves at the root.
 	charge := make([][]float64, nQ)
-	aCount := make([]int, n)
-	for m := 0; m < n; m++ {
-		for q := 0; q < nQ; q++ {
-			if p.Cands[m].Times[q] < p.Base[q] {
-				aCount[m]++
-			}
-		}
+	aCount := improvedQueries(p)
+	for m := range aCount {
 		if aCount[m] == 0 {
 			aCount[m] = 1 // never picked by the bound; any share is fine
 		}
@@ -203,32 +200,75 @@ func newLagrangian(p *Problem, s *solver, ub float64) *lagrangian {
 		return nil
 	}
 
-	lg := &lagrangian{
-		lambda: bestLambda,
-		perQ:   make([][]int32, nQ),
-		adj:    make([][]float64, nQ),
-	}
+	lg := &lagrangian{lambda: bestLambda}
 	for q := 0; q < nQ; q++ {
-		k := len(s.perQ[q])
-		idx := make([]int, k)
-		for r := range idx {
-			idx[r] = r
-		}
-		a := make([]float64, k)
+		a := make([]float64, len(s.perQ[q]))
 		for r := range s.perQ[q] {
 			a[r] = wTimes[q][r] + bestLambda*bestCharge[q][r]
 		}
-		sort.SliceStable(idx, func(x, y int) bool { return a[idx[x]] < a[idx[y]] })
-		ms := make([]int32, k)
-		adj := make([]float64, k)
-		for r, ri := range idx {
-			ms[r] = int32(s.perQ[q][ri])
-			adj[r] = a[ri]
-		}
-		lg.perQ[q] = ms
-		lg.adj[q] = adj
+		lg.addQuery(s.perQ[q], a)
 	}
 	return lg
+}
+
+// newPenaltyLagrangian is SolvePenalized's bound table: the same
+// relaxation held at the objective's own λ with uniform shares φ = 1/K_m,
+// K_m the number of queries candidate m improves. No root tuning and no
+// arming test: with the penalty in the objective the bound needs no
+// −λ·R term (lambda stays 0) and adds the committed λ·usedSize instead
+// (lagBoundFull). Any completion pays λ·size_m in full for each chosen m
+// while at most K_m of its queries collect a share, so it stays a lower
+// bound on obj(S) + λ·size(S).
+func newPenaltyLagrangian(p *Problem, s *solver, lambda float64) *lagrangian {
+	amort := make([]float64, len(p.Cands))
+	for m, k := range improvedQueries(p) {
+		if k > 0 {
+			amort[m] = lambda * float64(p.Cands[m].Size) / float64(k)
+		}
+	}
+	lg := &lagrangian{}
+	for q := 0; q < p.numQueries(); q++ {
+		a := make([]float64, len(s.perQ[q]))
+		for r, m := range s.perQ[q] {
+			wt := s.weights[q] * s.perQTimes[q][r]
+			a[r] = wt + amort[m]
+		}
+		lg.addQuery(s.perQ[q], a)
+	}
+	return lg
+}
+
+// improvedQueries returns, per candidate, K_m: how many queries it runs
+// faster than base.
+func improvedQueries(p *Problem) []int {
+	out := make([]int, len(p.Cands))
+	for m := range p.Cands {
+		for q := 0; q < p.numQueries(); q++ {
+			if p.Cands[m].Times[q] < p.Base[q] {
+				out[m]++
+			}
+		}
+	}
+	return out
+}
+
+// addQuery appends the next query's candidates (aligned with adjusted
+// costs a) to the table, sorted by adjusted cost ascending, ties in the
+// given order.
+func (lg *lagrangian) addQuery(cands []int, a []float64) {
+	idx := make([]int, len(cands))
+	for r := range idx {
+		idx[r] = r
+	}
+	sort.SliceStable(idx, func(x, y int) bool { return a[idx[x]] < a[idx[y]] })
+	ms := make([]int32, len(idx))
+	adj := make([]float64, len(idx))
+	for r, ri := range idx {
+		ms[r] = int32(cands[ri])
+		adj[r] = a[ri]
+	}
+	lg.perQ = append(lg.perQ, ms)
+	lg.adj = append(lg.adj, adj)
 }
 
 // lagQuery scans query q's ascending adjusted list for the first
@@ -253,10 +293,12 @@ func (s *solver) lagQuery(q int, wCur float64, remaining int64) (float64, int32)
 
 // lagBoundFull computes the Lagrangian bound at depth pos from scratch,
 // recording per-query picks and contributions for incremental children.
+// The sum starts from the committed penalty λ·usedSize, which is +0 in
+// Solve.
 func (s *solver) lagBoundFull(bestTimes []float64, usedSize int64, pos int) float64 {
 	remaining := s.p.Budget - usedSize
 	picks, contrib := s.lagPickBuf[pos], s.lagContribBuf[pos]
-	total := 0.0
+	total := s.penalty * float64(usedSize)
 	for q, cur := range bestTimes {
 		c, pick := s.lagQuery(q, s.weights[q]*cur, remaining)
 		picks[q], contrib[q] = pick, c
@@ -275,7 +317,7 @@ func (s *solver) lagBoundExcluded(bestTimes []float64, usedSize int64, pos, ex i
 	copy(picks, parentPicks)
 	copy(contrib, parentContrib)
 	ex32 := int32(ex)
-	total := 0.0
+	total := s.penalty * float64(usedSize)
 	for q := range contrib {
 		if picks[q] == ex32 {
 			c, pick := s.lagQuery(q, s.weights[q]*bestTimes[q], remaining)

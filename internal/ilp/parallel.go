@@ -32,21 +32,15 @@ type taskResult struct {
 // pruned against the greedy incumbent), and the resulting independent
 // subproblems are solved on the worker pool.
 //
-// Determinism: subtree i prunes with the incumbent assembled from the
-// enumeration pass plus the published results of subtrees 0..i−W (W =
-// worker count) — a deterministic prefix it explicitly waits for, rather
-// than a timing-dependent read of whatever siblings have finished. Results
-// are merged in fixed subtree order with the same strict-improvement rule
-// the sequential search applies, so for a fixed (problem, Workers) pair
-// Chosen, Objective and Nodes are bit-identical run to run, and
-// Chosen/Objective match the sequential mode (node counts differ: later
-// subtrees prune against a slightly staler incumbent than a sequential
-// scan would have).
-//
-// The waiting scheme cannot deadlock: tasks are claimed in index order, so
-// if every worker were blocked, the smallest blocked index i waits on some
-// j ≤ i−W, and j — claimed before i, not finished, not being run by any
-// blocked worker — would have to be running on a free worker.
+// Determinism: par.Ordered hands subtree i the incumbent assembled from
+// the enumeration pass plus the results of subtrees 0..i−W (W = worker
+// count) — a fixed prefix, not a timing-dependent read of whatever
+// siblings have finished. Results are merged in fixed subtree order with
+// the same strict-improvement rule the sequential search applies, so for
+// a fixed (problem, Workers) pair Chosen, Objective and Nodes are
+// bit-identical run to run, and Chosen/Objective match the sequential
+// mode (node counts differ: later subtrees prune against a slightly
+// staler incumbent than a sequential scan would have).
 func (s *solver) solveParallel(workers int) {
 	depth := 1
 	for (1<<depth) < 4*workers && depth < 12 {
@@ -74,31 +68,15 @@ func (s *solver) solveParallel(workers int) {
 		return // the enumeration pruned everything; it was the full search
 	}
 
-	w := workers
-	if w > len(leaves) {
-		w = len(leaves)
-	}
-	results := make([]taskResult, len(leaves))
-	done := make([]chan struct{}, len(leaves))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	enumBest := s.bestObj
-	par.ForEach(len(leaves), w, func(i int) {
-		defer close(done[i])
-		inc := enumBest
-		for j := 0; j <= i-w; j++ {
-			<-done[j]
-			if results[j].obj < inc {
-				inc = results[j].obj
-			}
-		}
-		t := s.task(inc)
-		leaf := &leaves[i]
-		copy(t.decided, leaf.decided)
-		t.dfs(depth, leaf.usedSize, leaf.bestTimes, leaf.cur, -1, leaf.chosen, leaf.factUsed)
-		results[i] = taskResult{obj: t.bestObj, chosen: t.bestChosen, nodes: t.nodes, pruned: t.pruned, incumbents: t.incumbents, proven: t.proven}
-	})
+	results := par.Ordered(len(leaves), workers, s.bestObj,
+		func(r taskResult) float64 { return r.obj },
+		func(i int, inc float64) taskResult {
+			t := s.task(inc)
+			leaf := &leaves[i]
+			copy(t.decided, leaf.decided)
+			t.dfs(depth, leaf.usedSize, leaf.bestTimes, leaf.cur, -1, leaf.chosen, leaf.factUsed)
+			return taskResult{obj: t.bestObj, chosen: t.bestChosen, nodes: t.nodes, pruned: t.pruned, incumbents: t.incumbents, proven: t.proven}
+		})
 
 	// Merge in fixed subtree order with the sequential improvement rule.
 	// Progress samples come from here, not the workers: the merge runs on
@@ -126,7 +104,7 @@ func (s *solver) task(incumbent float64) *solver {
 		p: s.p, order: s.order, perQ: s.perQ, nQ: s.nQ,
 		maxNodes: s.maxNodes, deadline: s.deadline, interrupt: s.interrupt,
 		perQTimes: s.perQTimes, weights: s.weights, sizes: s.sizes,
-		lag:      s.lag,
+		lag: s.lag, penalty: s.penalty,
 		frontier: -1,
 		bestObj:  incumbent,
 		proven:   true,

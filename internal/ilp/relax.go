@@ -151,7 +151,7 @@ func roundFractional(p *Problem, y []float64) *Solution {
 	for i := range idx {
 		idx[i] = i
 	}
-	dens := orderByDensityMap(p)
+	dens := densities(p)
 	sort.SliceStable(idx, func(a, b int) bool {
 		if math.Abs(y[idx[a]]-y[idx[b]]) > 1e-9 {
 			return y[idx[a]] > y[idx[b]]
@@ -181,22 +181,4 @@ func roundFractional(p *Problem, y []float64) *Solution {
 	sol := &Solution{Chosen: chosen, Objective: p.Objective(chosen), Size: size}
 	sol.PerQuery = perQueryRouting(p, chosen)
 	return sol
-}
-
-func orderByDensityMap(p *Problem) map[int]float64 {
-	out := make(map[int]float64, len(p.Cands))
-	for m := range p.Cands {
-		benefit := 0.0
-		for q := 0; q < p.numQueries(); q++ {
-			if t := p.Cands[m].Times[q]; t < p.Base[q] {
-				benefit += p.weight(q) * (p.Base[q] - t)
-			}
-		}
-		size := float64(p.Cands[m].Size)
-		if size < 1 {
-			size = 1
-		}
-		out[m] = benefit / size
-	}
-	return out
 }

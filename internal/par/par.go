@@ -13,6 +13,11 @@
 //     so execution order cannot change any result;
 //   - floating-point reductions happen AFTER the fan-out, in index order,
 //     keeping totals bit-identical to sequential runs.
+//
+// Ordered is the one exception to "tasks are independent": the
+// deterministic parallel branch-and-bound runner shared by the ILP solver
+// and the deployment scheduler, where task i reads a fixed prefix of
+// earlier tasks' results (see its doc comment).
 package par
 
 import (
@@ -77,9 +82,8 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 //
 // Claim order is part of the contract: indexes are handed to workers in
 // ascending order (a shared atomic counter), so when fn(i) starts, every
-// fn(j) with j < i has already started. The ILP solver's deterministic
-// parallel subtree search relies on this to let task i block on the
-// completion of tasks ≤ i−workers without deadlock (ilp/parallel.go).
+// fn(j) with j < i has already started. Ordered relies on this to let
+// task i block on the completion of tasks ≤ i−workers without deadlock.
 func ForEach(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -136,4 +140,47 @@ func ForEachErr(n, workers int, fn func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// Ordered is the deterministic parallel runner of a branch-and-bound
+// search split into n independent subtrees. It runs run(i, inc) for every
+// i in [0,n) on at most workers goroutines and returns the results by
+// index. inc is the incumbent task i prunes with: the minimum of seed and
+// value(result j) over every j ≤ i−W, where W = min(workers, n) (workers
+// < 1 means 1). Task i waits for exactly that prefix, never for whatever
+// siblings happen to have finished, so for fixed (n, workers) every task
+// sees the same inc on every run and the results are reproducible.
+//
+// The wait cannot deadlock: tasks are claimed in index order (ForEach),
+// so if every worker were blocked, the smallest blocked index i would be
+// waiting on some j < i that was claimed earlier, is not finished and is
+// not blocked — so j is running on a free worker.
+//
+// Panics follow ForEach: a panicking run still releases the tasks waiting
+// on it (they fold value of its zero R), every index runs, and Ordered
+// re-panics on the caller with the *WorkerPanic of the lowest index.
+func Ordered[R any](n, workers int, seed float64, value func(R) float64, run func(i int, inc float64) R) []R {
+	if workers < 1 {
+		workers = 1
+	}
+	if workers > n {
+		workers = n
+	}
+	results := make([]R, n)
+	done := make([]chan struct{}, n)
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	ForEach(n, workers, func(i int) {
+		defer close(done[i])
+		inc := seed
+		for j := 0; j <= i-workers; j++ {
+			<-done[j]
+			if v := value(results[j]); v < inc {
+				inc = v
+			}
+		}
+		results[i] = run(i, inc)
+	})
+	return results
 }

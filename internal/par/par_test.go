@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachRunsEveryIndexOnce(t *testing.T) {
@@ -120,6 +121,84 @@ func TestForEachDeterministicSlots(t *testing.T) {
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("slot %d = %d", i, v)
+		}
+	}
+}
+
+// orderedRef is Ordered's contract computed sequentially: task i sees the
+// minimum of seed and the values of results 0..i−W.
+func orderedRef(n, workers int, seed float64, run func(i int, inc float64) float64) (results, incs []float64) {
+	w := min(max(workers, 1), n)
+	results, incs = make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		inc := seed
+		for j := 0; j <= i-w; j++ {
+			inc = min(inc, results[j])
+		}
+		incs[i], results[i] = inc, run(i, inc)
+	}
+	return results, incs
+}
+
+// TestOrderedDeterministicAcrossWorkers: at every worker count the
+// incumbent each task sees, and so every result, equals the sequential
+// prefix fold, however the tasks' completion order is shuffled.
+func TestOrderedDeterministicAcrossWorkers(t *testing.T) {
+	const n, seed = 37, 100.0
+	// run's result depends on the incumbent it was handed, so a task that
+	// saw a different prefix would report a different value.
+	run := func(i int, inc float64) float64 { return float64((i*29)%17) + inc/8 }
+	for workers := 1; workers <= 8; workers++ {
+		wantRes, wantInc := orderedRef(n, workers, seed, run)
+		for rep := 0; rep < 5; rep++ {
+			incs := make([]float64, n)
+			got := Ordered(n, workers, seed, func(r float64) float64 { return r },
+				func(i int, inc float64) float64 {
+					incs[i] = inc
+					// Perturb completion order: early tasks finish late.
+					time.Sleep(time.Duration((n-i)*(rep+1)%7) * 50 * time.Microsecond)
+					return run(i, inc)
+				})
+			for i := range got {
+				if got[i] != wantRes[i] || incs[i] != wantInc[i] {
+					t.Fatalf("workers=%d rep=%d task %d: result %v inc %v, want %v %v",
+						workers, rep, i, got[i], incs[i], wantRes[i], wantInc[i])
+				}
+			}
+		}
+	}
+}
+
+// TestOrderedPanicReleasesWaiters: a panicking task still releases the
+// tasks waiting on it (no deadlock), every other task runs, and Ordered
+// re-panics with the lowest panicking index at any worker count.
+func TestOrderedPanicReleasesWaiters(t *testing.T) {
+	const n = 24
+	for workers := 1; workers <= 8; workers++ {
+		var ran atomic.Int64
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			Ordered(n, workers, 0, func(r int) float64 { return float64(r) },
+				func(i int, inc float64) int {
+					ran.Add(1)
+					if i == 3 || i == 11 {
+						panic(fmt.Sprintf("task %d", i))
+					}
+					return i
+				})
+		}()
+		select {
+		case r := <-done:
+			wp, ok := r.(*WorkerPanic)
+			if !ok || wp.Index != 3 || wp.Value != "task 3" {
+				t.Fatalf("workers=%d: recovered %v, want *WorkerPanic for task 3", workers, r)
+			}
+			if got := ran.Load(); got != n {
+				t.Fatalf("workers=%d: %d of %d tasks ran", workers, got, n)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: Ordered deadlocked after a task panic", workers)
 		}
 	}
 }
